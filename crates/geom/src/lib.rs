@@ -9,6 +9,9 @@
 //!   processing ([`predicates`]),
 //! * exact point-in-polygon tests (the expensive "refinement" operation the
 //!   paper wants to eliminate),
+//! * the [`edge_table`] module: a region's edges prepared once, so that a
+//!   quadtree descent answers the box, containment and distance tests from
+//!   candidate lists that shrink with the cell,
 //! * the [`hausdorff`] module implementing the Hausdorff distance that
 //!   defines the paper's ε distance bound (Section 2.2),
 //! * classic geometric approximations from Section 2.1 of the paper
@@ -23,6 +26,7 @@ pub mod approx;
 pub mod bbox;
 pub mod clip;
 pub mod convex_hull;
+pub mod edge_table;
 pub mod hausdorff;
 pub mod linestring;
 pub mod point;
@@ -38,6 +42,7 @@ pub use approx::{
 pub use bbox::BoundingBox;
 pub use clip::{clip_ring_to_box, polygon_box_overlap_area, polygon_box_overlap_fraction};
 pub use convex_hull::convex_hull;
+pub use edge_table::{EdgeList, EdgeLists, EdgeTable};
 pub use hausdorff::{directed_hausdorff, hausdorff_distance};
 pub use linestring::LineString;
 pub use point::Point;

@@ -7,7 +7,7 @@
 
 use crate::bbox::BoundingBox;
 use crate::point::Point;
-use crate::predicates::{orientation, point_on_segment, Orientation};
+use crate::predicates::{orientation, point_on_segment, ray_crosses_edge, Orientation};
 use crate::segment::Segment;
 use crate::PointLocation;
 
@@ -145,13 +145,8 @@ impl Ring {
         let mut inside = false;
         let mut j = n - 1;
         for i in 0..n {
-            let vi = &self.vertices[i];
-            let vj = &self.vertices[j];
-            if (vi.y > p.y) != (vj.y > p.y) {
-                let x_cross = vj.x + (vi.x - vj.x) * (p.y - vj.y) / (vi.y - vj.y);
-                if p.x < x_cross {
-                    inside = !inside;
-                }
+            if ray_crosses_edge(&self.vertices[j], &self.vertices[i], p) {
+                inside = !inside;
             }
             j = i;
         }
@@ -216,20 +211,26 @@ impl From<Vec<Point>> for Ring {
 pub struct Polygon {
     exterior: Ring,
     holes: Vec<Ring>,
+    /// Box of the exterior ring, computed once at construction (the rings
+    /// are immutable). A function of `exterior`, so the derived equality
+    /// and default (the empty box) are those of the rings alone.
+    bbox: BoundingBox,
 }
 
 impl Polygon {
     /// Creates a polygon without holes.
     pub fn new(exterior: Ring) -> Self {
-        Polygon {
-            exterior,
-            holes: Vec::new(),
-        }
+        Polygon::with_holes(exterior, Vec::new())
     }
 
     /// Creates a polygon with holes.
     pub fn with_holes(exterior: Ring, holes: Vec<Ring>) -> Self {
-        Polygon { exterior, holes }
+        let bbox = exterior.bbox();
+        Polygon {
+            exterior,
+            holes,
+            bbox,
+        }
     }
 
     /// Convenience constructor from exterior vertex coordinates.
@@ -275,9 +276,10 @@ impl Polygon {
         self.exterior.perimeter() + self.holes.iter().map(Ring::perimeter).sum::<f64>()
     }
 
-    /// Axis-aligned bounding box (of the exterior ring).
+    /// Axis-aligned bounding box (of the exterior ring), stored at
+    /// construction.
     pub fn bbox(&self) -> BoundingBox {
-        self.exterior.bbox()
+        self.bbox
     }
 
     /// Centroid of the exterior ring.
@@ -381,12 +383,18 @@ pub enum BoxRelation {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MultiPolygon {
     polygons: Vec<Polygon>,
+    /// Union of the parts' boxes, computed once at construction; a function
+    /// of `polygons`, like [`Polygon`]'s.
+    bbox: BoundingBox,
 }
 
 impl MultiPolygon {
     /// Creates a multi-polygon from its parts.
     pub fn new(polygons: Vec<Polygon>) -> Self {
-        MultiPolygon { polygons }
+        let bbox = polygons
+            .iter()
+            .fold(BoundingBox::EMPTY, |acc, p| acc.union(&p.bbox()));
+        MultiPolygon { polygons, bbox }
     }
 
     /// The constituent polygons.
@@ -414,11 +422,9 @@ impl MultiPolygon {
         self.polygons.iter().map(Polygon::vertex_count).sum()
     }
 
-    /// Bounding box of all parts.
+    /// Bounding box of all parts, stored at construction.
     pub fn bbox(&self) -> BoundingBox {
-        self.polygons
-            .iter()
-            .fold(BoundingBox::EMPTY, |acc, p| acc.union(&p.bbox()))
+        self.bbox
     }
 
     /// Whether any part contains the point.

@@ -62,6 +62,16 @@ pub fn point_on_segment(a: &Point, b: &Point, p: &Point) -> bool {
     orientation(a, b, p) == Orientation::Collinear && collinear_point_on_segment(a, b, p)
 }
 
+/// Whether the rightward horizontal ray from `p` crosses the edge `a → b`
+/// under the half-open rule of the crossing-number test: the edge counts
+/// when exactly one endpoint lies strictly above `p.y`, so a ray through a
+/// shared vertex is counted once. This is the one definition of a ray
+/// crossing — the ring scan and the prepared edge table both call it.
+#[inline]
+pub fn ray_crosses_edge(a: &Point, b: &Point, p: &Point) -> bool {
+    (b.y > p.y) != (a.y > p.y) && p.x < a.x + (b.x - a.x) * (p.y - a.y) / (b.y - a.y)
+}
+
 /// Whether the closed segments `[p1, p2]` and `[q1, q2]` share at least one point.
 pub fn segments_intersect(p1: &Point, p2: &Point, q1: &Point, q2: &Point) -> bool {
     let o1 = orientation(p1, p2, q1);

@@ -1,6 +1,5 @@
 //! Raster cells, boundary policies and the [`Rasterizable`] abstraction.
 
-use dbsa_geom::polygon::BoxRelation;
 use dbsa_geom::{BoundingBox, MultiPolygon, Point, Polygon};
 use dbsa_grid::CellId;
 
@@ -28,11 +27,11 @@ pub enum CellClass {
 /// Interior/Boundary/Exterior trichotomy the rest of the stack consumes is
 /// a derived view of that interval, not a separate piece of state.
 ///
-/// The annotation is derived during rasterization from one exact
-/// segment-distance evaluation per cell (the cell center against every
-/// boundary segment) plus the Lipschitz bound: `dist(·, boundary)` is
-/// 1-Lipschitz, so all cell points lie within the center distance ± the
-/// half-diagonal.
+/// The annotation is derived during rasterization from the exact distance
+/// of the cell center to the boundary (evaluated over the cell's nearest
+/// candidate edges, see [`dbsa_geom::EdgeTable`]) plus the Lipschitz bound:
+/// `dist(·, boundary)` is 1-Lipschitz, so all cell points lie within the
+/// center distance ± the half-diagonal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DistanceBins {
     /// Conservative lower bound in bins (floor-quantized, saturating).
@@ -237,16 +236,17 @@ impl BoundaryPolicy {
         matches!(self, BoundaryPolicy::NonConservative { .. })
     }
 
-    /// Decides whether a boundary cell with the given bbox should be kept.
-    pub fn keep_boundary_cell<G: Rasterizable + ?Sized>(
+    /// Decides whether a boundary cell with the given bbox should be kept;
+    /// `contains` is the geometry's exact containment test.
+    pub fn keep_boundary_cell(
         &self,
-        geometry: &G,
+        contains: impl FnMut(&Point) -> bool,
         cell_bbox: &BoundingBox,
     ) -> bool {
         match *self {
             BoundaryPolicy::Conservative => true,
             BoundaryPolicy::NonConservative { min_overlap } => {
-                estimate_overlap_fraction(geometry, cell_bbox, Self::OVERLAP_SAMPLES) >= min_overlap
+                estimate_overlap_fraction(contains, cell_bbox, Self::OVERLAP_SAMPLES) >= min_overlap
             }
         }
     }
@@ -289,10 +289,10 @@ pub fn refine_distance<G: Rasterizable + ?Sized>(
     geometry.signed_distance_to(p)
 }
 
-/// Estimates the fraction of `cell_bbox` covered by the geometry by testing
-/// an `n x n` grid of sample points.
-pub fn estimate_overlap_fraction<G: Rasterizable + ?Sized>(
-    geometry: &G,
+/// Estimates the fraction of `cell_bbox` covered by a geometry by testing an
+/// `n x n` grid of sample points with its containment test `contains`.
+pub fn estimate_overlap_fraction(
+    mut contains: impl FnMut(&Point) -> bool,
     cell_bbox: &BoundingBox,
     n: usize,
 ) -> f64 {
@@ -304,7 +304,7 @@ pub fn estimate_overlap_fraction<G: Rasterizable + ?Sized>(
                 cell_bbox.min.x + (i as f64 + 0.5) / n as f64 * cell_bbox.width(),
                 cell_bbox.min.y + (j as f64 + 0.5) / n as f64 * cell_bbox.height(),
             );
-            if geometry.contains_point(&p) {
+            if contains(&p) {
                 inside += 1;
             }
         }
@@ -312,21 +312,22 @@ pub fn estimate_overlap_fraction<G: Rasterizable + ?Sized>(
     inside as f64 / (n * n) as f64
 }
 
-/// Geometries that can be rasterized: anything that can classify an
-/// axis-aligned box against itself and answer exact containment.
+/// Geometries that can be rasterized: anything that is a union of polygon
+/// parts and answers exact containment and distance.
 ///
 /// Implemented for [`Polygon`] and [`MultiPolygon`]; the canvas layer also
 /// rasterizes point sets but those do not need box classification.
 pub trait Rasterizable {
     /// Bounding box of the geometry.
     fn bounding_box(&self) -> BoundingBox;
-    /// Relation of the box to the geometry (inside / boundary / disjoint).
-    fn classify_box(&self, bbox: &BoundingBox) -> BoxRelation;
-    /// Exact containment test (used for verification and overlap sampling).
+    /// The polygon parts whose union is the geometry. The rasterizers
+    /// prepare their rings into a [`dbsa_geom::EdgeTable`] and classify
+    /// every cell against that.
+    fn parts(&self) -> &[Polygon];
+    /// Exact containment test (used for verification and refinement).
     fn contains_point(&self, p: &Point) -> bool;
     /// Exact unsigned distance from a point to the geometry boundary (the
-    /// all-segments scan). Drives the distance annotation of raster cells
-    /// and the exact refinement of distance queries.
+    /// all-segments scan). Drives the exact refinement of distance queries.
     fn boundary_distance(&self, p: &Point) -> f64;
     /// Total number of boundary vertices (used in cost models / reports).
     fn vertex_count(&self) -> usize;
@@ -349,8 +350,8 @@ impl Rasterizable for Polygon {
     fn bounding_box(&self) -> BoundingBox {
         self.bbox()
     }
-    fn classify_box(&self, bbox: &BoundingBox) -> BoxRelation {
-        Polygon::classify_box(self, bbox)
+    fn parts(&self) -> &[Polygon] {
+        std::slice::from_ref(self)
     }
     fn contains_point(&self, p: &Point) -> bool {
         Polygon::contains_point(self, p)
@@ -370,8 +371,8 @@ impl Rasterizable for MultiPolygon {
     fn bounding_box(&self) -> BoundingBox {
         self.bbox()
     }
-    fn classify_box(&self, bbox: &BoundingBox) -> BoxRelation {
-        MultiPolygon::classify_box(self, bbox)
+    fn parts(&self) -> &[Polygon] {
+        self.polygons()
     }
     fn contains_point(&self, p: &Point) -> bool {
         MultiPolygon::contains_point(self, p)
@@ -410,7 +411,7 @@ mod tests {
         assert!(!policy.allows_false_negatives());
         // Even a cell barely touching the polygon is kept.
         let sliver = BoundingBox::from_bounds(9.99, 9.99, 11.0, 11.0);
-        assert!(policy.keep_boundary_cell(&square(), &sliver));
+        assert!(policy.keep_boundary_cell(|p| square().contains_point(p), &sliver));
     }
 
     #[test]
@@ -420,21 +421,22 @@ mod tests {
         let poly = square();
         // Cell mostly inside: kept.
         let mostly_in = BoundingBox::from_bounds(1.0, 1.0, 3.0, 3.0);
-        assert!(policy.keep_boundary_cell(&poly, &mostly_in));
+        assert!(policy.keep_boundary_cell(|p| poly.contains_point(p), &mostly_in));
         // Cell mostly outside: dropped.
         let mostly_out = BoundingBox::from_bounds(9.5, 9.5, 15.0, 15.0);
-        assert!(!policy.keep_boundary_cell(&poly, &mostly_out));
+        assert!(!policy.keep_boundary_cell(|p| poly.contains_point(p), &mostly_out));
     }
 
     #[test]
     fn overlap_fraction_estimation() {
         let poly = square();
         let all_in = BoundingBox::from_bounds(2.0, 2.0, 4.0, 4.0);
-        assert_eq!(estimate_overlap_fraction(&poly, &all_in, 4), 1.0);
+        let contains = |p: &Point| poly.contains_point(p);
+        assert_eq!(estimate_overlap_fraction(contains, &all_in, 4), 1.0);
         let all_out = BoundingBox::from_bounds(20.0, 20.0, 24.0, 24.0);
-        assert_eq!(estimate_overlap_fraction(&poly, &all_out, 4), 0.0);
+        assert_eq!(estimate_overlap_fraction(contains, &all_out, 4), 0.0);
         let half = BoundingBox::from_bounds(5.0, -5.0, 15.0, 5.0);
-        let frac = estimate_overlap_fraction(&poly, &half, 8);
+        let frac = estimate_overlap_fraction(contains, &half, 8);
         assert!((frac - 0.25).abs() < 0.1, "frac = {frac}");
     }
 
@@ -448,12 +450,7 @@ mod tests {
         );
         assert_eq!(poly.vertex_count(), 4);
         assert_eq!(Rasterizable::vertex_count(&mp), 4);
-        let inner = BoundingBox::from_bounds(1.0, 1.0, 2.0, 2.0);
-        assert_eq!(
-            Rasterizable::classify_box(&poly, &inner),
-            BoxRelation::Inside
-        );
-        assert_eq!(Rasterizable::classify_box(&mp, &inner), BoxRelation::Inside);
+        assert_eq!(Rasterizable::parts(&poly), Rasterizable::parts(&mp));
         assert!(Rasterizable::contains_point(&mp, &Point::new(5.0, 5.0)));
     }
 

@@ -8,61 +8,56 @@
 //! evaluate against.
 
 use crate::bound::DistanceBound;
-use crate::cell::{
-    estimate_overlap_fraction, BoundaryPolicy, CellClass, DistanceBins, RasterCell, Rasterizable,
-};
+use crate::cell::{estimate_overlap_fraction, BoundaryPolicy, CellClass, RasterCell, Rasterizable};
+use crate::classify::{Candidates, CellClassifier};
 use dbsa_geom::polygon::BoxRelation;
 use dbsa_geom::{BoundingBox, Point};
 use dbsa_grid::{CellId, GridExtent, MAX_LEVEL};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Computes a cell's conservative distance annotation from one exact
-/// segment-distance evaluation (cell center against every boundary
-/// segment): `dist(·, ∂G)` is 1-Lipschitz, so every cell point lies within
-/// the center distance ± the half-diagonal. Bins are the cell side at the
-/// cell's own level.
-pub(crate) fn annotate_cell<G: Rasterizable + ?Sized>(
-    geometry: &G,
-    extent: &GridExtent,
-    id: CellId,
-) -> DistanceBins {
-    let level = id.level();
-    let side = extent.cell_size(level);
-    let center = extent.cell_id_center(id);
-    let d_center = geometry.boundary_distance(&center);
-    DistanceBins::quantize(d_center, extent.cell_diagonal(level) * 0.5, side)
-}
-
 /// Queue entry of the budget-driven construction; the `Ord` impl makes the
 /// max-heap pop the coarsest cell first, breaking level ties towards the
 /// cell with the most estimated area outside the geometry (the cell whose
 /// refinement removes the most conservative overcount), then by id so the
 /// construction is deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct BudgetQueueEntry {
     id: CellId,
     level: u8,
     /// Out-of-geometry samples on a 4×4 grid, 0..=16.
     outside_samples: u8,
+    /// The cell's candidate lists, for its children and its annotation; no
+    /// part of the order.
+    candidates: Candidates,
 }
 
 impl BudgetQueueEntry {
     /// Sampling grid side for the outside-area estimate.
     const SAMPLE_SIDE: usize = 4;
 
-    fn classify<G: Rasterizable>(geometry: &G, extent: &GridExtent, id: CellId) -> Self {
-        let bbox = extent.cell_id_bbox(id);
+    /// Samples a boundary cell with the given candidates.
+    fn sample(
+        classifier: &CellClassifier<'_>,
+        id: CellId,
+        bbox: &BoundingBox,
+        candidates: Candidates,
+    ) -> Self {
         let samples = Self::SAMPLE_SIDE * Self::SAMPLE_SIDE;
-        let inside = estimate_overlap_fraction(geometry, &bbox, Self::SAMPLE_SIDE);
+        let inside = estimate_overlap_fraction(
+            |p| classifier.contains(candidates.crossing, p),
+            bbox,
+            Self::SAMPLE_SIDE,
+        );
         BudgetQueueEntry {
             id,
             level: id.level(),
             outside_samples: (samples as f64 * (1.0 - inside)).round() as u8,
+            candidates,
         }
     }
 
-    /// The overlap fraction already sampled by [`classify`](Self::classify)
+    /// The overlap fraction already sampled by [`sample`](Self::sample)
     /// (lossless: `outside_samples` is an exact count of grid samples).
     fn inside_fraction(&self) -> f64 {
         1.0 - self.outside_samples as f64 / (Self::SAMPLE_SIDE * Self::SAMPLE_SIDE) as f64
@@ -84,6 +79,14 @@ impl PartialOrd for BudgetQueueEntry {
         Some(self.cmp(other))
     }
 }
+
+impl PartialEq for BudgetQueueEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for BudgetQueueEntry {}
 
 /// A hierarchical (variable cell size) raster approximation.
 ///
@@ -128,15 +131,21 @@ impl HierarchicalRaster {
     ) -> Self {
         assert!(boundary_level <= MAX_LEVEL);
         let mut cells = Vec::new();
-        descend(
-            geometry,
-            extent,
-            CellId::ROOT,
-            boundary_level,
-            policy,
-            &mut cells,
-        );
-        cells.sort_by_key(|c| c.id.range_min());
+        if let Some((mut classifier, root)) = CellClassifier::new(geometry, extent) {
+            descend(
+                &mut classifier,
+                CellId::ROOT,
+                root,
+                boundary_level,
+                policy,
+                &mut cells,
+            );
+        }
+        // The descent visits children in Morton order and emits disjoint
+        // cells, so they arrive sorted by leaf range.
+        debug_assert!(cells
+            .windows(2)
+            .all(|w| w[0].id.range_min() < w[1].id.range_min()));
         HierarchicalRaster {
             extent: *extent,
             boundary_level,
@@ -163,12 +172,26 @@ impl HierarchicalRaster {
         policy: BoundaryPolicy,
     ) -> Self {
         assert!(cell_budget >= 4, "cell budget must be at least 4");
+        let Some((mut classifier, root)) = CellClassifier::new(geometry, extent) else {
+            return HierarchicalRaster {
+                extent: *extent,
+                boundary_level: 0,
+                cells: Vec::new(),
+                policy,
+            };
+        };
         let mut finished: Vec<RasterCell> = Vec::new();
         // Boundary cells pending refinement, highest refinement priority
-        // first (see `BudgetQueueEntry`).
+        // first (see `BudgetQueueEntry`). Their candidate lists stay in the
+        // classifier's store until the construction ends.
         let mut queue: BinaryHeap<BudgetQueueEntry> = BinaryHeap::new();
-        queue.push(BudgetQueueEntry::classify(geometry, extent, CellId::ROOT));
         let mut achieved_level = 0u8;
+        queue.push(BudgetQueueEntry::sample(
+            &classifier,
+            CellId::ROOT,
+            &extent.cell_id_bbox(CellId::ROOT),
+            root,
+        ));
 
         while let Some(entry) = queue.peek().copied() {
             // Refining the top queued cell replaces 1 cell by up to 4:
@@ -179,15 +202,26 @@ impl HierarchicalRaster {
             queue.pop();
             for child in entry.id.children() {
                 let bbox = extent.cell_id_bbox(child);
-                match geometry.classify_box(&bbox) {
-                    BoxRelation::Disjoint => {}
-                    BoxRelation::Inside => finished.push(
-                        RasterCell::interior(child)
-                            .with_distance(annotate_cell(geometry, extent, child)),
-                    ),
+                let mark = classifier.mark();
+                let crossing = classifier.crossing(entry.candidates.crossing, &bbox);
+                match classifier.classify(crossing, &bbox) {
+                    BoxRelation::Disjoint => classifier.release(mark),
+                    BoxRelation::Inside => {
+                        finished.push(RasterCell::interior(child).with_distance(
+                            classifier.annotate(entry.candidates.nearest, &bbox, child.level()),
+                        ));
+                        classifier.release(mark);
+                    }
                     BoxRelation::Boundary => {
                         achieved_level = achieved_level.max(child.level());
-                        queue.push(BudgetQueueEntry::classify(geometry, extent, child));
+                        let nearest =
+                            classifier.nearest(entry.candidates.nearest, &bbox, child.level());
+                        queue.push(BudgetQueueEntry::sample(
+                            &classifier,
+                            child,
+                            &bbox,
+                            Candidates { crossing, nearest },
+                        ));
                     }
                 }
             }
@@ -213,8 +247,11 @@ impl HierarchicalRaster {
             };
             if keep {
                 finished.push(
-                    RasterCell::boundary(entry.id)
-                        .with_distance(annotate_cell(geometry, extent, entry.id)),
+                    RasterCell::boundary(entry.id).with_distance(classifier.annotate(
+                        entry.candidates.nearest,
+                        &extent.cell_id_bbox(entry.id),
+                        entry.level,
+                    )),
                 );
             }
         }
@@ -330,35 +367,46 @@ impl HierarchicalRaster {
     }
 }
 
-/// Recursive quadtree descent shared by the bound-driven construction.
-fn descend<G: Rasterizable>(
-    geometry: &G,
-    extent: &GridExtent,
+/// Recursive quadtree descent of the bound-driven construction: a cell
+/// narrows its parent's candidate lists to its own box, is classified
+/// against what is left, and hands the narrowed lists to its children.
+fn descend(
+    classifier: &mut CellClassifier<'_>,
     cell: CellId,
+    parent: Candidates,
     boundary_level: u8,
     policy: BoundaryPolicy,
     out: &mut Vec<RasterCell>,
 ) {
-    let bbox = extent.cell_id_bbox(cell);
-    match geometry.classify_box(&bbox) {
-        BoxRelation::Disjoint => {}
-        BoxRelation::Inside => out
-            .push(RasterCell::interior(cell).with_distance(annotate_cell(geometry, extent, cell))),
-        BoxRelation::Boundary => {
-            if cell.level() >= boundary_level {
-                if policy.keep_boundary_cell(geometry, &bbox) {
-                    out.push(
-                        RasterCell::boundary(cell)
-                            .with_distance(annotate_cell(geometry, extent, cell)),
-                    );
-                }
-            } else {
-                for child in cell.children() {
-                    descend(geometry, extent, child, boundary_level, policy, out);
-                }
+    let bbox = classifier.extent().cell_id_bbox(cell);
+    let level = cell.level();
+    let mark = classifier.mark();
+    let crossing = classifier.crossing(parent.crossing, &bbox);
+    let class = match classifier.classify(crossing, &bbox) {
+        BoxRelation::Disjoint => None,
+        BoxRelation::Inside => Some(CellClass::Interior),
+        BoxRelation::Boundary if level < boundary_level => {
+            let candidates = Candidates {
+                crossing,
+                nearest: classifier.nearest(parent.nearest, &bbox, level),
+            };
+            for child in cell.children() {
+                descend(classifier, child, candidates, boundary_level, policy, out);
             }
+            None
         }
+        BoxRelation::Boundary => classifier
+            .keeps(policy, crossing, &bbox)
+            .then_some(CellClass::Boundary),
+    };
+    if let Some(class) = class {
+        out.push(RasterCell {
+            id: cell,
+            class,
+            dist: classifier.annotate(parent.nearest, &bbox, level),
+        });
     }
+    classifier.release(mark);
 }
 
 #[cfg(test)]

@@ -25,9 +25,13 @@
 
 pub mod bound;
 pub mod cell;
+mod classify;
 pub mod hierarchical;
 pub mod uniform;
 pub mod verify;
+
+#[cfg(test)]
+mod naive;
 
 pub use bound::DistanceBound;
 pub use cell::{

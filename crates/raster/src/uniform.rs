@@ -2,6 +2,8 @@
 
 use crate::bound::DistanceBound;
 use crate::cell::{BoundaryPolicy, CellClass, RasterCell, Rasterizable};
+use crate::classify::{Candidates, CellClassifier};
+use dbsa_geom::polygon::BoxRelation;
 use dbsa_geom::{BoundingBox, Point, Segment};
 use dbsa_grid::{CellId, GridExtent};
 
@@ -152,6 +154,10 @@ impl UniformRaster {
 /// the GPU rasterizer does with conservative rasterization enabled; the
 /// canvas crate provides the faster scanline variant used for bulk point
 /// aggregation.
+///
+/// The cells are reached by a quadtree descent that only narrows the
+/// candidate lists on the way down — every level-`level` cell is classified
+/// on its own box, coarse cells never decide for their descendants.
 fn rasterize_uniform<G: Rasterizable>(
     geometry: &G,
     extent: &GridExtent,
@@ -162,36 +168,74 @@ fn rasterize_uniform<G: Rasterizable>(
     if bbox.is_empty() {
         return Vec::new();
     }
-    let (min_cx, min_cy) = extent.cell_coords(&bbox.min, level);
-    let (max_cx, max_cy) = extent.cell_coords(&bbox.max, level);
-
     let mut cells = Vec::new();
-    for cy in min_cy..=max_cy {
-        for cx in min_cx..=max_cx {
-            let cell_bbox = extent.cell_bbox(cx, cy, level);
-            match geometry.classify_box(&cell_bbox) {
-                dbsa_geom::polygon::BoxRelation::Disjoint => {}
-                dbsa_geom::polygon::BoxRelation::Inside => {
-                    let id = CellId::from_cell_xy(cx, cy, level);
-                    cells.push(
-                        RasterCell::interior(id).with_distance(crate::hierarchical::annotate_cell(
-                            geometry, extent, id,
-                        )),
-                    );
-                }
-                dbsa_geom::polygon::BoxRelation::Boundary => {
-                    if policy.keep_boundary_cell(geometry, &cell_bbox) {
-                        let id = CellId::from_cell_xy(cx, cy, level);
-                        cells.push(RasterCell::boundary(id).with_distance(
-                            crate::hierarchical::annotate_cell(geometry, extent, id),
-                        ));
-                    }
-                }
+    if let Some((classifier, root)) = CellClassifier::new(geometry, extent) {
+        let mut descent = UniformDescent {
+            classifier,
+            level,
+            policy,
+            min: extent.cell_coords(&bbox.min, level),
+            max: extent.cell_coords(&bbox.max, level),
+            cells: &mut cells,
+        };
+        descent.visit(CellId::ROOT, root);
+    }
+    // Same-level cells in Morton order are in id order.
+    debug_assert!(cells.windows(2).all(|w| w[0].id < w[1].id));
+    cells
+}
+
+/// State of the descent behind [`rasterize_uniform`].
+struct UniformDescent<'a> {
+    classifier: CellClassifier<'a>,
+    level: u8,
+    policy: BoundaryPolicy,
+    /// Cell coordinates at `level` of the geometry's bounding box; only
+    /// cells inside are emitted.
+    min: (u32, u32),
+    max: (u32, u32),
+    cells: &'a mut Vec<RasterCell>,
+}
+
+impl UniformDescent<'_> {
+    fn visit(&mut self, cell: CellId, parent: Candidates) {
+        let (cx, cy, level) = cell.to_cell_xy();
+        // The block of target-level cells below `cell`.
+        let shift = self.level - level;
+        let outside = |c: u32, min: u32, max: u32| ((c + 1) << shift) <= min || (c << shift) > max;
+        if outside(cx, self.min.0, self.max.0) || outside(cy, self.min.1, self.max.1) {
+            return;
+        }
+        let bbox = self.classifier.extent().cell_bbox(cx, cy, level);
+        let mark = self.classifier.mark();
+        let crossing = self.classifier.crossing(parent.crossing, &bbox);
+        if level < self.level {
+            let candidates = Candidates {
+                crossing,
+                nearest: self.classifier.nearest(parent.nearest, &bbox, level),
+            };
+            for child in cell.children() {
+                self.visit(child, candidates);
+            }
+        } else {
+            let class = match self.classifier.classify(crossing, &bbox) {
+                BoxRelation::Disjoint => None,
+                BoxRelation::Inside => Some(CellClass::Interior),
+                BoxRelation::Boundary => self
+                    .classifier
+                    .keeps(self.policy, crossing, &bbox)
+                    .then_some(CellClass::Boundary),
+            };
+            if let Some(class) = class {
+                self.cells.push(RasterCell {
+                    id: cell,
+                    class,
+                    dist: self.classifier.annotate(parent.nearest, &bbox, level),
+                });
             }
         }
+        self.classifier.release(mark);
     }
-    cells.sort_by_key(|c| c.id);
-    cells
 }
 
 /// Rasterizes a bare segment set (e.g. a linestring boundary) at a level,

@@ -129,3 +129,55 @@ fn memory_footprints_follow_the_papers_ordering() {
     assert!(act.memory_bytes() > 10 * shape.memory_bytes());
     assert!(shape.memory_bytes() > rtree.memory_bytes());
 }
+
+/// FNV-1a over every cell — id, class, distance bins — of the 4 m rasters of
+/// a region set laid out as the repo benchmark's smoke scale lays it out
+/// (12 regions over 8 km × 8 km of the city grid, rotated, seed 2022).
+fn raster_fingerprint(profile: DatasetProfile) -> u64 {
+    let area = BoundingBox::from_bounds(0.0, 0.0, 8_000.0, 8_000.0);
+    let regions = PolygonSetGenerator::new(area, 12, profile.vertices_per_polygon(), 2022)
+        .multipolygon_fraction(profile.multipolygon_fraction())
+        .rotation(0.45)
+        .generate();
+    let extent = GridExtent::covering(&city_extent());
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for region in &regions {
+        let raster = HierarchicalRaster::with_bound(
+            region,
+            &extent,
+            DistanceBound::meters(4.0),
+            BoundaryPolicy::Conservative,
+        );
+        for cell in raster.cells() {
+            let words = [
+                cell.id.raw(),
+                cell.is_boundary() as u64,
+                cell.dist.lo as u64,
+                cell.dist.hi as u64,
+            ];
+            for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+                hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+/// The raster cells are what the trie, and with it the snapshot byte image,
+/// is built from. These values were recorded with the all-edges classifier
+/// (before the candidate-list descent); a classifier change that moves one
+/// cell, class or distance bin fails here by name rather than as a
+/// byte-count drift in the benchmark.
+#[test]
+fn golden_raster_fingerprints() {
+    assert_eq!(
+        raster_fingerprint(DatasetProfile::Census),
+        0xe6c4_edf9_b418_7699,
+        "Census cells moved"
+    );
+    assert_eq!(
+        raster_fingerprint(DatasetProfile::Neighborhoods),
+        0xad1a_0a4a_650a_8c98,
+        "Neighborhoods cells moved"
+    );
+}
